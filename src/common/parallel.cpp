@@ -34,13 +34,17 @@ int resolve_default_threads() {
 // 0 = unresolved (first thread_count() call reads NS_THREADS).
 std::atomic<int> g_thread_count{0};
 
+/// True while this thread executes a task of a pool job (as the calling
+/// participant or as a worker); a parallel call made then is nesting.
+thread_local bool tl_in_task = false;
+
 /// The process-wide pool. Workers are spawned lazily on the first job that
 /// wants them and race for task indices off a shared atomic; task *shape* is
 /// fixed by the caller, so racing only affects who runs what, never the
-/// result. One job runs at a time (the primitives are called from top-level
-/// analysis code and never nest). The caller participates and does not
-/// return until every worker that joined the job has detached from it — the
-/// Job lives on the caller's stack.
+/// result. One job runs at a time: concurrent top-level callers queue on
+/// run_mutex_. The caller participates and does not return until every
+/// worker that joined the job has detached from it — the Job lives on the
+/// caller's stack.
 class Pool {
 public:
     static Pool& instance() {
@@ -54,10 +58,13 @@ public:
         job.ctx = ctx;
         job.count = count;
         job.max_workers = threads - 1;
+        // Nesting would deadlock on run_mutex_ (the outer job holds it);
+        // concurrency from other threads just waits its turn.
+        assert(!tl_in_task && "parallel primitives must not nest");
+        std::lock_guard<std::mutex> turn(run_mutex_);
         {
             std::lock_guard<std::mutex> lk(mutex_);
             ensure_workers(threads - 1);
-            assert(job_ == nullptr && "parallel primitives must not nest");
             job_ = &job;
             ++generation_;
         }
@@ -66,11 +73,13 @@ public:
         // The caller is a full participant.
         std::uint64_t mine = 0;
         std::size_t task;
+        tl_in_task = true;
         while ((task = job.next.fetch_add(1, std::memory_order_relaxed)) < count) {
             fn(ctx, task);
             ++mine;
             job.done.fetch_add(1, std::memory_order_acq_rel);
         }
+        tl_in_task = false;
         {
             std::unique_lock<std::mutex> lk(mutex_);
             // Retract the job so workers that have not joined yet never will,
@@ -128,15 +137,18 @@ private:
             ++active_;
             lk.unlock();
             std::size_t task;
+            tl_in_task = true;
             while ((task = job->next.fetch_add(1, std::memory_order_relaxed)) < job->count) {
                 job->fn(job->ctx, task);
                 job->done.fetch_add(1, std::memory_order_acq_rel);
             }
+            tl_in_task = false;
             lk.lock();
             if (--active_ == 0) done_cv_.notify_all();
         }
     }
 
+    std::mutex run_mutex_;  // held by the caller whose job owns the pool
     std::mutex mutex_;
     std::condition_variable work_cv_;
     std::condition_variable done_cv_;

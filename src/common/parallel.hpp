@@ -30,12 +30,17 @@
 // caller — but still through the same chunk decomposition, so switching
 // thread counts cannot even reorder equal-element ties in parallel_sort.
 //
-// The simulator's event callbacks stay off this pool by default. The two
-// sanctioned exceptions are engine-level and barrier-scoped: the sharded
-// Simulator's optional parallel window dispatch and the FlowNetwork's
-// barrier-batched per-shard refill round (docs/PARALLELISM.md "The sharded
-// simulation core"). Application code in edge/, control/ and peer/ must
-// never call into this header from event callbacks.
+// The simulator never calls the pool: a Simulation runs on the thread that
+// drives it and touches no process-wide state, so independent Simulations
+// may run concurrently on threads of their own. Application code in sim/,
+// net/, edge/, control/ and peer/ must never call into this header.
+//
+// Concurrency vs nesting: two threads may call the primitives at the same
+// time — their jobs queue and run one after the other on the shared pool,
+// with results unchanged because every job's shape is fixed by its caller.
+// A primitive must not be called from inside another primitive's task
+// (nesting): the outer job holds the pool, so the inner one would wait on
+// itself.
 #pragma once
 
 #include <algorithm>

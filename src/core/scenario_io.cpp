@@ -144,27 +144,6 @@ const std::map<std::string, Knob>& knobs() {
          double_knob([](const SimulationConfig& c) { return double(c.threads); },
                      [](SimulationConfig& c, double v) { c.threads = int(v); },
                      "analysis thread count (0 = NS_THREADS/hardware default)")},
-        {"shards",
-         // Not a double_knob: a scenario that names a shard count must name a
-         // *valid* one. 0 (the in-memory "unset, ask NS_SIM_SHARDS" sentinel)
-         // is rejected here — a written scenario pins its engine explicitly,
-         // so unset configs print as the single-queue default, 1.
-         Knob{[](SimulationConfig& c, const std::string& v) {
-                  try {
-                      std::size_t used = 0;
-                      const int s = std::stoi(v, &used);
-                      if (used != v.size() || s < 1 || s > 64) return false;
-                      c.shards = s;
-                      return true;
-                  } catch (...) {
-                      return false;
-                  }
-              },
-              [](const SimulationConfig& c) {
-                  return std::to_string(c.shards <= 0 ? 1 : c.shards);
-              },
-              "region shards for the event engine (1 = legacy single queue; "
-              "traces are byte-stable per shard count, docs/PARALLELISM.md)"}},
         {"disable_p2p", bool_knob([](const SimulationConfig& c) { return c.disable_p2p; },
                                   [](SimulationConfig& c, bool v) { c.disable_p2p = v; },
                                   "true = infrastructure-only baseline")},
@@ -219,6 +198,16 @@ Result<SimulationConfig> parse_scenario(const std::string& text) {
                 return Error{Error::Code::invalid_argument, "line " + std::to_string(line_no) +
                                                                 ": " + spec.error().message};
             config.campaigns.push_back(spec.value());
+            continue;
+        }
+        if (key == "shards") {
+            // The region-sharded engine is gone; scenario files written for
+            // it still load when they pin the single queue it left behind.
+            if (value != "1")
+                return Error{Error::Code::invalid_argument,
+                             "line " + std::to_string(line_no) + ": shards = " + value +
+                                 ": the region-sharded engine was removed; only 'shards = 1' "
+                                 "is accepted"};
             continue;
         }
         const auto it = knobs().find(key);

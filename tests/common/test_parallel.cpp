@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -100,6 +101,39 @@ TEST(Parallel, FloatSumIsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(at1, sum_at(2));
     EXPECT_EQ(at1, sum_at(3));
     EXPECT_EQ(at1, sum_at(8));
+}
+
+TEST(Parallel, ConcurrentCallersQueueAndMatchSerial) {
+    // Two threads calling the pool at once must not clobber each other's
+    // job: the second caller waits its turn, and every result stays the
+    // 1-thread result bit for bit.
+    ThreadCountGuard guard;
+    const std::size_t n = 5 * detail::kGrain + 123;
+    std::vector<double> xs(n);
+    Rng rng(43);
+    for (auto& x : xs) x = rng.uniform(-1e9, 1e9);
+    const auto sum = [&] {
+        return parallel_reduce<double>(
+            xs.size(),
+            [&](double& p, std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i) p += xs[i];
+            },
+            [](double& a, double b) { a += b; });
+    };
+    set_thread_count(1);
+    const double at1 = sum();
+
+    set_thread_count(4);
+    constexpr int kRounds = 200;
+    std::vector<int> mismatches(2, 0);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < mismatches.size(); ++t)
+        callers.emplace_back([&, t] {
+            for (int round = 0; round < kRounds; ++round)
+                if (sum() != at1) ++mismatches[t];
+        });
+    for (auto& c : callers) c.join();
+    EXPECT_EQ(mismatches, (std::vector<int>{0, 0}));
 }
 
 TEST(Parallel, VectorConcatPreservesElementOrder) {

@@ -1,30 +1,26 @@
-// Differential determinism suite for the region-sharded simulation core
-// (docs/PARALLELISM.md "The sharded simulation core").
+// Determinism suite: the repo's core contract — same seed and scenario ⇒
+// byte-identical trace — checked for every shipped scenario preset, plus the
+// independence of concurrently running Simulations.
 //
-// Every shipped scenario preset runs — at a truncated horizon — under shard
-// counts 1, 2, 4 and 8, twice each. The oracle is the analysis pipeline's
-// FNV-1a fingerprint plus the raw trace shape:
-//
-//   - per configuration (scenario x shard count), repeats must be
-//     byte-identical: equal fingerprints, equal entry counts;
-//   - across shard counts, traces legitimately differ (lane-major windowing
-//     permutes event interleaving and RNG draw order — the documented
-//     contract), but the *measurements* must agree: same download demand,
-//     same session process, and headline ratios within tight tolerances.
-//
-// shards == 1 is simultaneously the reference engine and the proof that the
-// legacy path is untouched: its fingerprints are the same ones the golden
-// and chaos determinism tests pin elsewhere.
+//   - ScenarioDeterminism: every scenarios/*.ini runs twice at a truncated
+//     horizon; the two saved traces must be byte-identical.
+//   - ConcurrentSimulations: two truncated scenarios run at the same time on
+//     two threads, each owning its Simulation; each saved trace must equal
+//     the trace of a serial run. A Simulation touches no process-wide state,
+//     which is what lets independent runs share the cores (tools/ci.sh runs
+//     this under TSan).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "analysis/pipeline.hpp"
 #include "core/scenario_io.hpp"
 #include "core/simulation.hpp"
 #include "trace/serialize.hpp"
@@ -41,109 +37,82 @@ std::vector<std::string> list_scenarios() {
     return names;
 }
 
-/// One run's comparable surface.
-struct RunResult {
-    std::uint64_t fingerprint = 0;
-    std::size_t downloads = 0;
-    std::size_t logins = 0;
-    std::size_t transfers = 0;
-    double offload = 0.0;
-    double efficiency = 0.0;
-    double completion = 0.0;
-    double sessions_started = 0.0;
-};
-
-RunResult run_truncated(SimulationConfig config, int shards) {
+SimulationConfig load_truncated(const std::string& name) {
+    const auto loaded =
+        load_scenario(std::string(NS_SOURCE_DIR) + "/scenarios/" + name + ".ini");
+    EXPECT_TRUE(loaded.ok()) << (loaded.ok() ? "" : loaded.error().message);
+    SimulationConfig config = loaded.ok() ? loaded.value() : SimulationConfig{};
     // Truncated horizon: the suite's power comes from breadth (every
-    // scenario x every shard count x repeats), not from long windows.
-    config.shards = shards;
+    // scenario, repeated), not from long windows.
     config.peers = std::min(config.peers, 300);
     config.as_graph.total_ases = std::min(config.as_graph.total_ases, 300);
     config.behavior.warmup = std::min(config.behavior.warmup, sim::days(0.3));
     config.behavior.window = std::min(config.behavior.window, sim::days(0.8));
     config.behavior.downloads_per_peer_per_month =
         std::max(config.behavior.downloads_per_peer_per_month, 30.0);
+    return config;
+}
 
+/// Runs `config`, saves the trace as `netsession_sim run` does and returns
+/// the file's bytes. `tag` keeps concurrent callers' files apart.
+std::string run_and_save(const SimulationConfig& config, const std::string& tag) {
     Simulation sim(config);
     sim.run();
-
     trace::Dataset dataset;
     dataset.log = sim.trace();
-    sim.geodb().for_each([&](net::IpAddr ip, const net::GeoRecord& rec) {
-        dataset.geodb.register_ip(ip, rec);
-    });
-    const analysis::PipelineResult pipeline =
-        analysis::run_full_pipeline(dataset, &sim.as_graph());
-
-    RunResult r;
-    r.fingerprint = analysis::fingerprint(pipeline);
-    r.downloads = sim.trace().downloads().size();
-    r.logins = sim.trace().logins().size();
-    r.transfers = sim.trace().transfers().size();
-    r.offload = pipeline.headline.overall_offload;
-    r.efficiency = pipeline.headline.mean_peer_efficiency;
-    r.completion = pipeline.outcomes.all.completed;
-    r.sessions_started = static_cast<double>(sim.driver().sessions_started());
-    return r;
+    sim.geodb().for_each(
+        [&](net::IpAddr ip, const net::GeoRecord& rec) { dataset.geodb.register_ip(ip, rec); });
+    const auto path = (std::filesystem::temp_directory_path() /
+                       ("ns_determinism_" + std::to_string(::getpid()) + "_" + tag + ".nstrace"))
+                          .string();
+    EXPECT_TRUE(trace::save_dataset(dataset, path)) << path;
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes(std::istreambuf_iterator<char>(in), {});
+    in.close();
+    std::filesystem::remove(path);
+    return bytes;
 }
 
-class ShardDifferential : public ::testing::TestWithParam<std::string> {};
+class ScenarioDeterminism : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(ShardDifferential, ByteIdenticalPerConfigAndEquivalentAcrossCounts) {
-    const std::string path =
-        std::string(NS_SOURCE_DIR) + "/scenarios/" + GetParam() + ".ini";
-    const auto loaded = load_scenario(path);
-    ASSERT_TRUE(loaded.ok()) << (loaded.ok() ? "" : loaded.error().message);
-
-    std::vector<RunResult> per_count;
-    for (const int shards : {1, 2, 4, 8}) {
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        const RunResult a = run_truncated(loaded.value(), shards);
-        const RunResult b = run_truncated(loaded.value(), shards);
-        // Repeats of a fixed configuration are byte-identical — THE
-        // determinism contract, shard count included.
-        EXPECT_EQ(a.fingerprint, b.fingerprint);
-        EXPECT_EQ(a.downloads, b.downloads);
-        EXPECT_EQ(a.logins, b.logins);
-        EXPECT_EQ(a.transfers, b.transfers);
-        EXPECT_GT(a.logins, 0u) << "truncated run must still produce activity";
-        per_count.push_back(a);
-    }
-
-    // Across shard counts: the session/demand processes are driven by
-    // per-user streams, so they must agree exactly; transfer dynamics and
-    // headline ratios agree within tolerance (lane-major windowing reorders
-    // shared-stream draws — see docs/PARALLELISM.md for why exact equality
-    // across counts is not a design goal).
-    const RunResult& ref = per_count.front();
-    for (std::size_t i = 1; i < per_count.size(); ++i) {
-        SCOPED_TRACE("shards index " + std::to_string(i) + " vs shards=1");
-        const RunResult& r = per_count[i];
-        EXPECT_EQ(r.sessions_started, ref.sessions_started)
-            << "session process is per-user RNG, independent of sharding";
-        const auto close_rel = [](std::size_t a, std::size_t b, double rel) {
-            const double hi = static_cast<double>(std::max(a, b));
-            const double lo = static_cast<double>(std::min(a, b));
-            return hi == 0.0 || (hi - lo) / hi <= rel;
-        };
-        EXPECT_TRUE(close_rel(r.downloads, ref.downloads, 0.02))
-            << r.downloads << " vs " << ref.downloads;
-        EXPECT_TRUE(close_rel(r.logins, ref.logins, 0.02)) << r.logins << " vs " << ref.logins;
-        EXPECT_TRUE(close_rel(r.transfers, ref.transfers, 0.10))
-            << r.transfers << " vs " << ref.transfers;
-        EXPECT_NEAR(r.offload, ref.offload, 0.10);
-        EXPECT_NEAR(r.efficiency, ref.efficiency, 0.10);
-        EXPECT_NEAR(r.completion, ref.completion, 0.06);
-    }
+TEST_P(ScenarioDeterminism, DoubleRunTracesAreByteIdentical) {
+    const SimulationConfig config = load_truncated(GetParam());
+    const std::string a = run_and_save(config, GetParam() + "_a");
+    const std::string b = run_and_save(config, GetParam() + "_b");
+    ASSERT_GT(a.size(), 1000u) << "truncated run must still produce a trace";
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_TRUE(a == b) << "two runs of " << GetParam() << " saved different traces";
 }
 
-INSTANTIATE_TEST_SUITE_P(Scenarios, ShardDifferential, ::testing::ValuesIn(list_scenarios()),
+INSTANTIATE_TEST_SUITE_P(Scenarios, ScenarioDeterminism, ::testing::ValuesIn(list_scenarios()),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                              std::string name = info.param;
                              for (char& c : name)
                                  if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
                              return name;
                          });
+
+TEST(ConcurrentSimulations, ThreadedTracesMatchSerialRuns) {
+    const std::vector<std::string> names = {"chaos_campaign", "paper_standard"};
+    std::vector<SimulationConfig> configs;
+    std::vector<std::string> serial;
+    for (const auto& name : names) {
+        configs.push_back(load_truncated(name));
+        serial.push_back(run_and_save(configs.back(), name + "_serial"));
+    }
+
+    std::vector<std::string> threaded(names.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        threads.emplace_back([&, i] { threaded[i] = run_and_save(configs[i], names[i] + "_thread"); });
+    for (auto& t : threads) t.join();
+
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        ASSERT_GT(serial[i].size(), 1000u) << names[i];
+        EXPECT_TRUE(threaded[i] == serial[i])
+            << names[i] << ": a concurrent run saved a different trace than the serial run";
+    }
+}
 
 }  // namespace
 }  // namespace netsession

@@ -110,38 +110,6 @@ run_audit_flavour() {
     rm -rf "$fuzz_dir"
 }
 
-# The shard flavour proves the region-sharded simulation core
-# (docs/PARALLELISM.md "The sharded simulation core") on two fronts:
-#   1. under TSan, with NS_SIM_SHARDS=4 exported so every Simulation whose
-#      scenario leaves `shards` unset runs on the windowed engine — the
-#      barrier-batched flow refill round is the one place the sharded
-#      deployment fans out onto the pool, exactly what TSan is for;
-#   2. in Release, a double-run byte-identity smoke of the shipped chaos
-#      campaign at shards=4 — faults, campaigns and the cross-shard outbox
-#      path, compared with cmp like the audit flavour's fuzz smoke.
-# The labelled suites (`ctest -L shard`) are the differential determinism
-# tests and the sharded-scheduler property tests from tests/.
-run_shard_flavour() {
-    local tsan_dir=build-ci-tsan release_dir=build-ci-release
-    echo "==== [shard] tsan labelled shard suites (NS_SIM_SHARDS=4) ===="
-    (cd "$tsan_dir" && NS_SIM_SHARDS=4 ctest --output-on-failure -L shard)
-    echo "==== [shard] tsan sim focus on the windowed engine (NS_SIM_SHARDS=4) ===="
-    (cd "$tsan_dir" && NS_SIM_SHARDS=4 ctest --output-on-failure \
-        -R 'Simulation|Sharded|Robustness|Chaos')
-    echo "==== [shard] release double-run byte-identity (chaos_campaign.ini, shards=4) ===="
-    local smoke_dir="$release_dir/shard_smoke"
-    mkdir -p "$smoke_dir"
-    { cat scenarios/chaos_campaign.ini; echo "shards = 4"; } > "$smoke_dir/campaign_s4.ini"
-    "$release_dir/tools/netsession_sim" run "$smoke_dir/campaign_s4.ini" \
-        "$smoke_dir/a.nstrace" >/dev/null
-    "$release_dir/tools/netsession_sim" run "$smoke_dir/campaign_s4.ini" \
-        "$smoke_dir/b.nstrace" >/dev/null
-    cmp "$smoke_dir/a.nstrace" "$smoke_dir/b.nstrace" \
-        || { echo "ERROR: shards=4 chaos campaign is not deterministic" >&2; exit 1; }
-    echo "  shards=4: traces byte-identical"
-    rm -rf "$smoke_dir"
-}
-
 # The scale flavour proves the hibernation memory diet (docs/SIMULATOR.md
 # "Memory layout") end to end:
 #   1. in Release, a 1M-peer smoke of scenarios/standard_1m.ini under a hard
@@ -187,9 +155,10 @@ run_scale_flavour() {
 
 # The TSan flavour builds the whole tree but focuses ctest on the suites that
 # actually go multi-threaded: the parallel runtime, the analysis pipeline it
-# drives, and the obs/fidelity harnesses that consume pipeline output. TSan's
-# ~10x slowdown makes the full 500-test suite wasteful when everything
-# outside analysis/ is single-threaded by design.
+# drives, the obs/fidelity harnesses that consume pipeline output, and two
+# Simulations running at once on two threads. TSan's ~10x slowdown makes the
+# full 500-test suite wasteful when every single run is single-threaded by
+# design.
 run_tsan_flavour() {
     local build_dir=build-ci-tsan
     echo "==== [tsan] configure ===="
@@ -198,7 +167,7 @@ run_tsan_flavour() {
     cmake --build "$build_dir" -j "$JOBS"
     echo "==== [tsan] parallel/analysis/obs/fidelity focus ===="
     (cd "$build_dir" && NS_THREADS=4 ctest --output-on-failure \
-        -R 'Parallel|ThreadInvariance|Stats|GuidGraph|Measurement|Serialize|Histogram|Counter|Gauge|Registry|Export|Sampler|FidelityRun|GoldenMetrics')
+        -R 'Parallel|ThreadInvariance|Stats|GuidGraph|Measurement|Serialize|Histogram|Counter|Gauge|Registry|Export|Sampler|FidelityRun|GoldenMetrics|ConcurrentSimulations')
 }
 
 run_flavour release build-ci-release -DCMAKE_BUILD_TYPE=Release
@@ -210,7 +179,6 @@ run_flavour asan build-ci-asan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNS_SANITIZE=a
 run_flavour ubsan build-ci-ubsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNS_SANITIZE=undefined
 run_audit_flavour
 run_tsan_flavour
-run_shard_flavour  # reuses the tsan + release trees built above
 run_scale_flavour  # reuses the release + asan trees built above
 
 echo "==== CI: all flavours passed ===="
